@@ -16,12 +16,12 @@ import (
 //	go test ./cmd/nocsprint -run TestGolden -update
 var update = flag.Bool("update", false, "rewrite golden files under testdata/golden")
 
-// goldenSim returns the exact simulation windows the CLI uses under -fast,
-// so the goldens pin the same numbers `nocsprint fig11 -fast` prints.
-// Workers stays parallel on purpose: per-point seeding guarantees the output
-// is identical at any worker count, and the goldens prove it stays that way.
+// goldenSim returns the registry's -fast simulation windows, so the goldens
+// pin the same numbers `nocsprint -fast` prints. Workers stays parallel on
+// purpose: per-point seeding guarantees the output is identical at any
+// worker count, and the goldens prove it stays that way.
 func goldenSim(check bool) core.NetSimParams {
-	return core.NetSimParams{Warmup: 300, Measure: 1000, Drain: 10000, Check: check}
+	return core.ShapeSim(core.NetSimParams{Check: check}, true)
 }
 
 // compareGolden marshals got and compares it byte-for-byte against the named
@@ -32,7 +32,13 @@ func compareGolden(t *testing.T, name string, got any) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	data = append(data, '\n')
+	compareGoldenBytes(t, name, append(data, '\n'))
+}
+
+// compareGoldenBytes compares data byte-for-byte against the named golden
+// file, or rewrites the file under -update.
+func compareGoldenBytes(t *testing.T, name string, data []byte) {
+	t.Helper()
 	path := filepath.Join("testdata", "golden", name)
 	if *update {
 		if err := os.MkdirAll(filepath.Dir(path), 0o755); err != nil {
@@ -85,11 +91,7 @@ func TestGoldenFig11Fast(t *testing.T) {
 		t.Fatal(err)
 	}
 	run := func(check bool) []core.Fig11Series {
-		series, err := core.Fig11Sweep(s, []int{4, 8}, core.Fig11Params{
-			Rates:   []float64{0.05, 0.15, 0.25, 0.35},
-			Samples: 3,
-			Sim:     goldenSim(check),
-		})
+		series, err := core.Fig11Sweep(s, []int{4, 8}, core.ShapeFig11(goldenSim(check), true))
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -150,11 +152,7 @@ func TestGoldenFig11ReferenceStepper(t *testing.T) {
 	}
 	sim := goldenSim(true)
 	sim.Reference = true
-	series, err := core.Fig11Sweep(s, []int{4, 8}, core.Fig11Params{
-		Rates:   []float64{0.05, 0.15, 0.25, 0.35},
-		Samples: 3,
-		Sim:     sim,
-	})
+	series, err := core.Fig11Sweep(s, []int{4, 8}, core.ShapeFig11(sim, true))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -176,10 +174,7 @@ func TestGoldenTopology(t *testing.T) {
 		t.Fatal(err)
 	}
 	run := func(check bool) []core.TopoRow {
-		rows, err := s.TopologyStudy(core.TopologyParams{
-			Rates: []float64{0.1, 0.3, 0.5, 0.7},
-			Sim:   goldenSim(check),
-		})
+		rows, err := s.TopologyStudy(core.ShapeTopology(goldenSim(check), true))
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -199,4 +194,18 @@ func TestGoldenTopology(t *testing.T) {
 	if !bytes.Equal(plainJSON, checked) {
 		t.Fatal("invariant checker perturbed the topology study results")
 	}
+}
+
+// TestGoldenAllFastText pins the text every registry renderer prints:
+// `nocsprint all -fast` runs each entry once, in registry order, and its
+// stdout must match the golden byte for byte.
+func TestGoldenAllFastText(t *testing.T) {
+	if testing.Short() {
+		t.Skip("runs every experiment")
+	}
+	var out bytes.Buffer
+	if err := run(&out, "all", options{fast: true, workers: 2}); err != nil {
+		t.Fatal(err)
+	}
+	compareGoldenBytes(t, "all_fast.txt", out.Bytes())
 }

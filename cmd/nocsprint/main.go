@@ -1,5 +1,6 @@
 // Command nocsprint regenerates every table and figure of the paper's
-// evaluation from the reproduction library.
+// evaluation, plus the extension studies, from the experiment registry in
+// internal/core.
 //
 // Usage:
 //
@@ -7,10 +8,11 @@
 //
 // Flags are accepted both before and after the experiment name.
 //
-// Experiments: table1, fig2, fig3, fig4, fig7, fig8, fig9, fig10, fig11,
-// fig12, duration, all. fig9 and fig10 share one set of simulations; "all"
-// runs everything (a few minutes of CPU for the fig11 sweep when serial;
-// -workers 0 fans sweeps across all cores).
+// Every registry entry prints as a table, or with -json as its typed result
+// in a small envelope; -h lists them. fig9 and fig10 name one entry. "all"
+// runs every entry once, in order; -workers 0 (the default) fans sweeps
+// across all cores. "trace" is the one CLI-only command: it writes a trace
+// file and replays it.
 package main
 
 import (
@@ -21,7 +23,6 @@ import (
 	"flag"
 	"fmt"
 	"io"
-	"math"
 	"net"
 	"net/http"
 	"net/http/pprof"
@@ -30,7 +31,6 @@ import (
 	"path/filepath"
 	"strings"
 	"syscall"
-	"text/tabwriter"
 	"time"
 
 	"nocsprint/internal/ckpt"
@@ -38,11 +38,8 @@ import (
 	"nocsprint/internal/mesh"
 	"nocsprint/internal/noc"
 	"nocsprint/internal/obs"
-	"nocsprint/internal/power"
 	"nocsprint/internal/routing"
-	"nocsprint/internal/thermal"
 	"nocsprint/internal/traffic"
-	"nocsprint/internal/workload"
 )
 
 // options are the command-line knobs shared by every experiment.
@@ -257,12 +254,7 @@ func execute(exp string, o options) error {
 		o.rec = rec
 	}
 
-	var err error
-	if o.json {
-		err = runJSON(exp, o)
-	} else {
-		err = run(exp, o)
-	}
+	err := run(os.Stdout, exp, o)
 	if err != nil && errors.Is(err, context.Canceled) && o.journal != nil {
 		fmt.Fprintf(os.Stderr, "nocsprint: %d completed point(s) saved in %s\n", o.journal.Len(), o.journal.Path())
 		fmt.Fprintf(os.Stderr, "nocsprint: resume with: nocsprint %s -checkpoint %s -resume\n", exp, o.checkpoint)
@@ -370,591 +362,74 @@ in-flight points finish (journaling them), and exits with a partial-result
 summary; a second signal aborts in-flight points at cycle granularity.
 
 experiments:
-  table1    system & interconnect configuration (Table 1)
-  fig2      router power breakdown across V/f corners
-  fig3      chip power breakdown at nominal operation
-  fig4      PARSEC execution time vs core count
-  fig7      execution time per sprinting scheme
-  fig8      core power per sprinting scheme
-  fig9      average network latency, full vs NoC-sprinting
-  fig10     network power, full vs NoC-sprinting
-  fig11     synthetic uniform-random load sweep (4- and 8-core)
-  fig12     steady-state heat maps (dedup, level 4)
-  duration  sprint duration analysis (Section 4.4)
-  gating    extension: runtime power-gating baseline vs NoC-sprinting
-  feedback  extension: leakage-temperature feedback & sustainable levels
-  controller extension: online burst controller with thermal coupling
-  wires     extension: floorplan wire cost & SMART repeated wires (Sec 3.3)
-  scale     extension: 4x4 / 6x6 / 8x8 mesh scaling study
-  sensitivity extension: VC count & buffer depth sweep
-  topology  extension: mesh vs torus vs ring-circulant comparison
-  dimdark   extension: dim silicon (more slow cores) vs dark (few fast)
-  llc       extension: Sec 3.4 LLC policies — bypass paths vs home remap
-  faults    extension: fault injection & online sprint-region repair
-  trace     offline trace generation + JSONL export + deterministic replay
-  all       everything above (except trace)
+`)
+	for _, e := range core.Experiments() {
+		name := e.Name
+		if e.Alias != "" {
+			name += "/" + e.Alias
+		}
+		fmt.Fprintf(w, "  %-9s %s\n", name, e.Desc)
+	}
+	fmt.Fprint(w, `  trace     offline trace generation + JSONL export + deterministic replay
+  all       every experiment above in order, except trace
 `)
 }
 
-func run(name string, o options) error {
+// run executes one registry experiment, or every entry in order for "all",
+// and prints each result to out: as a table, or under -json as the typed
+// result in a small metadata envelope suitable for external plotting.
+func run(out io.Writer, name string, o options) error {
 	s, err := core.New(core.DefaultConfig())
 	if err != nil {
 		return err
 	}
-	sim, fig11 := simParams(o)
-
-	switch name {
-	case "table1":
-		return table1(s)
-	case "fig2":
-		return fig2()
-	case "fig3":
-		return fig3()
-	case "fig4":
-		return fig4(s)
-	case "fig7":
-		return fig7(s)
-	case "fig8":
-		return fig8(s)
-	case "fig9", "fig10":
-		return fig9and10(s, sim)
-	case "fig11":
-		return fig11Cmd(s, fig11)
-	case "fig12":
-		return fig12(s)
-	case "duration":
-		return duration(s)
-	case "gating":
-		return gatingCmd(s, sim)
-	case "feedback":
-		return feedbackCmd(s)
-	case "controller":
-		return controllerCmd(s)
-	case "wires":
-		return wiresCmd(s, sim)
-	case "scale":
-		return scaleCmd(sim, o.fast)
-	case "sensitivity":
-		return sensitivityCmd(sim)
-	case "topology":
-		return topologyCmd(s, topologyParams(sim, o.fast))
-	case "dimdark":
-		return dimDarkCmd(s, sim)
-	case "llc":
-		return llcCmd(s, o)
-	case "faults":
-		return faultsCmd(s, faultParams(o))
-	case "trace":
-		return traceCmd(s, o)
-	case "all":
-		for _, exp := range []func() error{
-			func() error { return table1(s) },
-			fig2,
-			fig3,
-			func() error { return fig4(s) },
-			func() error { return fig7(s) },
-			func() error { return fig8(s) },
-			func() error { return fig9and10(s, sim) },
-			func() error { return fig11Cmd(s, fig11) },
-			func() error { return fig12(s) },
-			func() error { return duration(s) },
-			func() error { return gatingCmd(s, sim) },
-		} {
-			if err := exp(); err != nil {
-				return err
-			}
-			fmt.Println()
+	if name == "trace" {
+		if o.json {
+			return errors.New(`experiment "trace" has no JSON form`)
 		}
-		return nil
-	default:
-		usage(os.Stderr)
-		return fmt.Errorf("unknown experiment %q", name)
+		return traceCmd(out, s, o)
 	}
-}
-
-// simParams maps the CLI options onto the experiment-layer parameter
-// structs; -workers threads through to the parallel sweep runner, and the
-// cancellation contexts and checkpoint journal ride along.
-func simParams(o options) (core.NetSimParams, core.Fig11Params) {
+	entries := core.Experiments()
+	if name != "all" {
+		e, ok := core.LookupExperiment(name)
+		if !ok {
+			usage(os.Stderr)
+			return fmt.Errorf("unknown experiment %q", name)
+		}
+		entries = []core.Experiment{e}
+	}
 	sim := core.NetSimParams{
 		Workers: o.workers, Check: o.check, Reference: o.refstep,
 		Ctx: o.ctx, Abort: o.abort, Journal: o.journal,
 		Obs: o.rec, Progress: o.progress,
 	}
-	if o.fast {
-		sim.Warmup, sim.Measure, sim.Drain = 300, 1000, 10000
-	}
-	fig11 := core.Fig11Params{Sim: sim}
-	if o.fast {
-		fig11.Rates = []float64{0.05, 0.15, 0.25, 0.35}
-		fig11.Samples = 3
-	}
-	return sim, fig11
-}
-
-func header(title string) {
-	fmt.Println(strings.Repeat("=", 72))
-	fmt.Println(title)
-	fmt.Println(strings.Repeat("=", 72))
-}
-
-func table1(s *core.Sprinter) error {
-	header("Table 1: System and Interconnect configuration")
-	cfg := s.Config()
-	w := tabwriter.NewWriter(os.Stdout, 2, 4, 2, ' ', 0)
-	fmt.Fprintf(w, "core count/freq.\t%d, %.0f GHz\n", cfg.NoC.Nodes(), cfg.Corner.FreqHz/1e9)
-	fmt.Fprintf(w, "topology\t%d x %d 2D Mesh\n", cfg.NoC.Width, cfg.NoC.Height)
-	fmt.Fprintf(w, "router pipeline\tclassic five-stage\n")
-	fmt.Fprintf(w, "VC count\t%d VCs per port\n", cfg.NoC.VCs)
-	fmt.Fprintf(w, "buffer depth\t%d buffers per VC\n", cfg.NoC.BufferDepth)
-	fmt.Fprintf(w, "packet length\t%d flits\n", cfg.NoC.PacketLength)
-	fmt.Fprintf(w, "flit length\t%d bytes\n", cfg.NoC.FlitBits/8)
-	fmt.Fprintf(w, "master node\t%d (top-left, next to MC)\n", cfg.Master)
-	return w.Flush()
-}
-
-func fig2() error {
-	header("Figure 2: Router power breakdown (dynamic vs leakage)")
-	rows, err := core.Fig2RouterPower()
-	if err != nil {
-		return err
-	}
-	w := tabwriter.NewWriter(os.Stdout, 2, 4, 2, ' ', 0)
-	fmt.Fprintln(w, "corner\tdynamic (mW)\tleakage (mW)\ttotal (mW)\tleakage share")
-	for _, r := range rows {
-		dyn, leak := r.Breakdown.TotalDynamic()*1e3, r.Breakdown.TotalLeakage()*1e3
-		fmt.Fprintf(w, "%.2fV / %.1fGHz\t%.3f\t%.3f\t%.3f\t%.1f%%\n",
-			r.Corner.VDD, r.Corner.FreqHz/1e9, dyn, leak, dyn+leak, 100*leak/(dyn+leak))
-	}
-	if err := w.Flush(); err != nil {
-		return err
-	}
-	fmt.Println("\nper-component at each corner (mW dynamic / mW leakage):")
-	w = tabwriter.NewWriter(os.Stdout, 2, 4, 2, ' ', 0)
-	fmt.Fprint(w, "corner")
-	for _, c := range power.Components() {
-		fmt.Fprintf(w, "\t%s", c)
-	}
-	fmt.Fprintln(w)
-	for _, r := range rows {
-		fmt.Fprintf(w, "%.2fV/%.1fGHz", r.Corner.VDD, r.Corner.FreqHz/1e9)
-		for _, c := range power.Components() {
-			fmt.Fprintf(w, "\t%.2f/%.2f", r.Breakdown.DynamicW[c]*1e3, r.Breakdown.LeakageW[c]*1e3)
-		}
-		fmt.Fprintln(w)
-	}
-	return w.Flush()
-}
-
-func fig3() error {
-	header("Figure 3: Chip power breakdown at nominal operation")
-	rows, err := core.Fig3ChipBreakdown()
-	if err != nil {
-		return err
-	}
-	w := tabwriter.NewWriter(os.Stdout, 2, 4, 2, ' ', 0)
-	fmt.Fprint(w, "cores\ttotal (W)")
-	for _, c := range power.ChipComponents() {
-		fmt.Fprintf(w, "\t%s", c)
-	}
-	fmt.Fprintln(w)
-	for _, r := range rows {
-		fmt.Fprintf(w, "%d\t%.2f", r.Cores, r.Breakdown.Total())
-		for _, c := range power.ChipComponents() {
-			fmt.Fprintf(w, "\t%.1f%%", 100*r.Breakdown.Share(c))
-		}
-		fmt.Fprintln(w)
-	}
-	fmt.Fprintln(w, "(paper: NoC share 18% / 26% / 35% / 42%)")
-	return w.Flush()
-}
-
-func fig4(s *core.Sprinter) error {
-	header("Figure 4: PARSEC execution time vs available cores (T(n)/T(1))")
-	rows := core.Fig4Scaling(s)
-	w := tabwriter.NewWriter(os.Stdout, 2, 4, 2, ' ', 0)
-	fmt.Fprint(w, "benchmark")
-	for _, n := range rows[0].Cores {
-		fmt.Fprintf(w, "\tn=%d", n)
-	}
-	fmt.Fprintln(w)
-	for _, r := range rows {
-		fmt.Fprintf(w, "%s", r.Benchmark)
-		for _, t := range r.NormTime {
-			fmt.Fprintf(w, "\t%.3f", t)
-		}
-		fmt.Fprintln(w)
-	}
-	return w.Flush()
-}
-
-func fig7(s *core.Sprinter) error {
-	header("Figure 7: Execution time per sprinting scheme (seconds)")
-	res, err := core.Fig7ExecTime(s)
-	if err != nil {
-		return err
-	}
-	w := tabwriter.NewWriter(os.Stdout, 2, 4, 2, ' ', 0)
-	fmt.Fprintln(w, "benchmark\tlevel\tnon-sprint\tfull-sprint\tNoC-sprint\tspeedup(NoC)")
-	for _, r := range res.Rows {
-		fmt.Fprintf(w, "%s\t%d\t%.3f\t%.3f\t%.3f\t%.2fx\n",
-			r.Benchmark, r.Level, r.NonSprint, r.FullSprint, r.NoCSprint, r.NonSprint/r.NoCSprint)
-	}
-	if err := w.Flush(); err != nil {
-		return err
-	}
-	fmt.Printf("\naverage speedup: NoC-sprinting %.2fx (paper 3.6x), full-sprinting %.2fx (paper 1.9x)\n",
-		res.AvgSpeedupNoC, res.AvgSpeedupFull)
-	return nil
-}
-
-func fig8(s *core.Sprinter) error {
-	header("Figure 8: Core power dissipation per sprinting scheme (W)")
-	res, err := core.Fig8CorePower(s)
-	if err != nil {
-		return err
-	}
-	w := tabwriter.NewWriter(os.Stdout, 2, 4, 2, ' ', 0)
-	fmt.Fprintln(w, "benchmark\tlevel\tfull-sprint\tfine-grained\tNoC-sprint")
-	for _, r := range res.Rows {
-		fmt.Fprintf(w, "%s\t%d\t%.1f\t%.1f\t%.1f\n",
-			r.Benchmark, r.Level, r.FullSprint, r.FineGrained, r.NoCSprint)
-	}
-	if err := w.Flush(); err != nil {
-		return err
-	}
-	fmt.Printf("\naverage core-power saving vs full-sprinting: fine-grained %.1f%% (paper 25.5%%), NoC-sprinting %.1f%% (paper 69.1%%)\n",
-		100*res.SavingFineGrained, 100*res.SavingNoC)
-	return nil
-}
-
-func fig9and10(s *core.Sprinter, sim core.NetSimParams) error {
-	header("Figures 9 & 10: Network latency and power, full vs NoC-sprinting")
-	res, err := core.Fig9Fig10Network(s, sim)
-	if err != nil {
-		return err
-	}
-	w := tabwriter.NewWriter(os.Stdout, 2, 4, 2, ' ', 0)
-	fmt.Fprintln(w, "benchmark\tlevel\tlat full (cyc)\tlat NoC (cyc)\tpower full (mW)\tpower NoC (mW)")
-	for _, r := range res.Rows {
-		fmt.Fprintf(w, "%s\t%d\t%.1f\t%.1f\t%.2f\t%.2f\n",
-			r.Benchmark, r.Level, r.LatencyFull, r.LatencyNoC, r.PowerFull*1e3, r.PowerNoC*1e3)
-	}
-	if err := w.Flush(); err != nil {
-		return err
-	}
-	fmt.Printf("\naverage latency reduction %.1f%% (paper 24.5%%); average network power saving %.1f%% (paper 71.9%%)\n",
-		100*res.LatencyReduction, 100*res.PowerSaving)
-	return nil
-}
-
-func fig11Cmd(s *core.Sprinter, params core.Fig11Params) error {
-	header("Figure 11: Uniform-random sweep, NoC-sprinting vs full-sprinting")
-	series, err := core.Fig11Sweep(s, []int{4, 8}, params)
-	if err != nil {
-		return err
-	}
-	for _, ser := range series {
-		fmt.Printf("\n-- %d-core sprinting --\n", ser.Level)
-		w := tabwriter.NewWriter(os.Stdout, 2, 4, 2, ' ', 0)
-		fmt.Fprintln(w, "rate\tlat NoC\tlat full\tpow NoC (mW)\tpow full (mW)\tsaturated")
-		for _, pt := range ser.Points {
-			sat := ""
-			if pt.SaturatedNoC {
-				sat += "NoC "
-			}
-			if pt.SaturatedFull {
-				sat += "full"
-			}
-			fmt.Fprintf(w, "%.2f\t%.1f\t%.1f\t%.2f\t%.2f\t%s\n",
-				pt.Rate, pt.LatencyNoC, pt.LatencyFull, pt.PowerNoC*1e3, pt.PowerFull*1e3, sat)
-		}
-		if err := w.Flush(); err != nil {
-			return err
-		}
-		fmt.Printf("pre-saturation: latency cut %.1f%%, power cut %.1f%%\n",
-			100*ser.PreSatLatencyCut, 100*ser.PreSatPowerCut)
-	}
-	fmt.Println("\n(paper: latency -45.1%/-16.1%, power -62.1%/-25.9% for 4-/8-core)")
-	return nil
-}
-
-func fig12(s *core.Sprinter) error {
-	header("Figure 12: Steady-state heat maps (dedup, optimal level 4)")
-	cases, err := core.Fig12HeatMaps(s)
-	if err != nil {
-		return err
-	}
-	paper := []float64{358.3, 347.79, 343.81}
-	for i, c := range cases {
-		fmt.Printf("\n%s: peak %.2f K (paper %.2f K)\n", c.Name, c.PeakK, paper[i])
-		printHeatMap(c.Map, s.Config().Grid)
-	}
-	return nil
-}
-
-// printHeatMap renders per-tile mean temperatures as an ASCII grid.
-func printHeatMap(hm *thermal.HeatMap, grid thermal.GridConfig) {
-	for ty := 0; ty < grid.H; ty++ {
-		for tx := 0; tx < grid.W; tx++ {
-			fmt.Printf(" %6.1f", hm.TileMean(tx, ty, grid.Sub))
-		}
-		fmt.Println()
-	}
-}
-
-func duration(s *core.Sprinter) error {
-	header("Section 4.4: Sprint duration (seconds)")
-	res, err := core.SprintDurations(s)
-	if err != nil {
-		return err
-	}
-	w := tabwriter.NewWriter(os.Stdout, 2, 4, 2, ' ', 0)
-	fmt.Fprintln(w, "benchmark\tlevel\tfull-sprint (s)\tNoC-sprint (s)\tgain\tphases (1/2/3)")
-	for _, r := range res.Rows {
-		gain := "-"
-		if !math.IsInf(r.NoCSprint, 1) && !math.IsInf(r.FullSprint, 1) {
-			gain = fmt.Sprintf("+%.1f%%", 100*(r.NoCSprint/r.FullSprint-1))
-		}
-		fmt.Fprintf(w, "%s\t%d\t%s\t%s\t%s\t%.2f/%.2f/%.2f\n",
-			r.Benchmark, r.Level, fsec(r.FullSprint), fsec(r.NoCSprint), gain,
-			r.Phases.Phase1, r.Phases.Phase2, r.Phases.Phase3)
-	}
-	if err := w.Flush(); err != nil {
-		return err
-	}
-	fmt.Printf("\naverage sprint-duration increase: +%.1f%% (paper +55.4%%)\n", 100*res.AvgIncrease)
-	return nil
-}
-
-func fsec(v float64) string {
-	if math.IsInf(v, 1) {
-		return "sustainable"
-	}
-	return fmt.Sprintf("%.2f", v)
-}
-
-var _ = workload.Profiles // keep the workload package visibly imported for docs
-
-func gatingCmd(s *core.Sprinter, sim core.NetSimParams) error {
-	header("Extension: network power management — none vs runtime gating vs NoC-sprinting")
-	res, err := core.GatingComparison(s, noc.DefaultGatingConfig(), sim)
-	if err != nil {
-		return err
-	}
-	w := tabwriter.NewWriter(os.Stdout, 2, 4, 2, ' ', 0)
-	fmt.Fprintln(w, "benchmark\tlevel\tlat none\tlat runtime\tlat NoC\tpow none (mW)\tpow runtime\tpow NoC\twakeups\tshort-offs")
-	for _, r := range res.Rows {
-		fmt.Fprintf(w, "%s\t%d\t%.1f\t%.1f\t%.1f\t%.2f\t%.2f\t%.2f\t%d\t%d\n",
-			r.Benchmark, r.Level, r.LatNone, r.LatRuntime, r.LatNoC,
-			r.PowNone*1e3, r.PowRuntime*1e3, r.PowNoC*1e3, r.Wakeups, r.ShortOffs)
-	}
-	if err := w.Flush(); err != nil {
-		return err
-	}
-	fmt.Printf("\naverage network power saving: runtime gating %.1f%%, NoC-sprinting %.1f%%\n",
-		100*res.SavingRuntime, 100*res.SavingNoC)
-	fmt.Printf("average latency penalty of runtime gating: +%.1f%% (NoC-sprinting: none — it shortens paths instead)\n",
-		100*res.PenaltyRuntime)
-	return nil
-}
-
-func feedbackCmd(s *core.Sprinter) error {
-	header("Extension: leakage-temperature feedback — sustainable sprint levels")
-	res, err := core.LeakageFeedbackAnalysis(s, power.DefaultLeakageFeedback())
-	if err != nil {
-		return err
-	}
-	w := tabwriter.NewWriter(os.Stdout, 2, 4, 2, ' ', 0)
-	fmt.Fprintln(w, "level\tbase power (W)\tsteady T no-FB (K)\tsteady T with-FB (K)\tamplification\tsustainable")
-	for _, r := range res.Rows {
-		state := "yes"
-		if !r.SustainableFB {
-			state = "RUNAWAY"
-		}
-		fmt.Fprintf(w, "%d\t%.1f\t%.1f\t%.1f\t%.3f\t%s\n",
-			r.Level, r.BasePowerW, r.NoFeedbackK, r.WithFeedback.TempK, r.WithFeedback.Amplification, state)
-	}
-	if err := w.Flush(); err != nil {
-		return err
-	}
-	fmt.Printf("\nmax indefinitely-sustainable level: %d without feedback, %d with feedback\n",
-		res.MaxLevelNoFB, res.MaxLevelFB)
-	return nil
-}
-
-func controllerCmd(s *core.Sprinter) error {
-	header("Extension: online sprint controller on a bursty trace")
-	var bursts []core.Burst
-	names := []string{"dedup", "swaptions", "dedup", "vips", "swaptions", "dedup"}
-	for i, name := range names {
-		p, err := workload.ByName(name)
+	for _, e := range entries {
+		res, err := e.Run(s, sim, o.fast)
 		if err != nil {
 			return err
 		}
-		bursts = append(bursts, core.Burst{Profile: p, WorkSeconds: 1.2, ArrivalS: float64(i) * 4})
-	}
-	w := tabwriter.NewWriter(os.Stdout, 2, 4, 2, ' ', 0)
-	fmt.Fprintln(w, "scheme\tavg response (s)\tmakespan (s)\tenergy (J)\tpeak (K)\tsprint (s)\tthrottled (s)")
-	for _, scheme := range []core.Scheme{core.NonSprinting, core.FullSprinting, core.NoCSprinting} {
-		cfg := core.DefaultControllerConfig()
-		cfg.Scheme = scheme
-		ctl, err := core.NewController(s, cfg)
-		if err != nil {
-			return err
-		}
-		res, err := ctl.RunTrace(bursts, 60)
-		if err != nil {
-			return err
-		}
-		var avgResp float64
-		finished := 0
-		for i, c := range res.Completions {
-			if !math.IsNaN(c) {
-				avgResp += c - bursts[i].ArrivalS
-				finished++
+		if o.json {
+			label := name
+			if name == "all" {
+				label = e.Name
+			}
+			err = writeJSON(out, label, res)
+		} else {
+			err = e.Text(out, s, res)
+			if name == "all" {
+				fmt.Fprintln(out)
 			}
 		}
-		if finished > 0 {
-			avgResp /= float64(finished)
+		if err != nil {
+			return err
 		}
-		fmt.Fprintf(w, "%v\t%.2f\t%.2f\t%.0f\t%.1f\t%.2f\t%.2f\n",
-			scheme, avgResp, res.MakespanS, res.EnergyJ, res.PeakK, res.SprintS, res.ThrottledS)
 	}
-	return w.Flush()
+	return nil
 }
 
-func wiresCmd(s *core.Sprinter, sim core.NetSimParams) error {
-	header("Extension: floorplan wire cost and SMART repeated wires (Section 3.3)")
-	cases, err := core.FloorplanWireStudy(s, sim)
-	if err != nil {
-		return err
-	}
-	w := tabwriter.NewWriter(os.Stdout, 2, 4, 2, ' ', 0)
-	fmt.Fprintln(w, "configuration\tavg latency (cyc)\tpeak temp (K)\tslowest link (cyc)")
-	for _, c := range cases {
-		fmt.Fprintf(w, "%s\t%.1f\t%.2f\t%d\n", c.Name, c.AvgLatency, c.PeakK, c.MaxLinkCycles)
-	}
-	return w.Flush()
-}
-
-func scaleCmd(sim core.NetSimParams, fast bool) error {
-	header("Extension: mesh scaling (dark silicon grows with core count)")
-	widths := []int{4, 6, 8}
-	if fast {
-		widths = []int{4, 6}
-	}
-	rows, err := core.ScalingStudy(widths, sim)
-	if err != nil {
-		return err
-	}
-	w := tabwriter.NewWriter(os.Stdout, 2, 4, 2, ' ', 0)
-	fmt.Fprintln(w, "mesh\tcores\tNoC share @nominal\tsprint level\tlatency cut\tnet power saving")
-	for _, r := range rows {
-		fmt.Fprintf(w, "%dx%d\t%d\t%.1f%%\t%d\t%.1f%%\t%.1f%%\n",
-			r.Width, r.Width, r.Nodes, 100*r.NoCShareNominal, r.Level,
-			100*r.LatencyCut, 100*r.PowerSaving)
-	}
-	return w.Flush()
-}
-
-func sensitivityCmd(sim core.NetSimParams) error {
-	header("Extension: VC count / buffer depth sensitivity (Table 1 knobs)")
-	rows, err := core.SensitivitySweep(sim)
-	if err != nil {
-		return err
-	}
-	w := tabwriter.NewWriter(os.Stdout, 2, 4, 2, ' ', 0)
-	fmt.Fprintln(w, "VCs\tbuffer depth\tsaturation (flits/cyc/node)\tlow-load latency (cyc)")
-	for _, r := range rows {
-		fmt.Fprintf(w, "%d\t%d\t%.1f\t%.1f\n", r.VCs, r.BufferDepth, r.SaturationRate, r.ZeroLoadLatency)
-	}
-	return w.Flush()
-}
-
-// runJSON emits the experiment's typed result as a JSON document with a
-// small metadata envelope, suitable for external plotting.
-// topologyParams maps the CLI options onto the topology comparison: -fast
-// walks a shorter rate ladder on top of the shrunk simulation windows.
-func topologyParams(sim core.NetSimParams, fast bool) core.TopologyParams {
-	p := core.TopologyParams{Sim: sim}
-	if fast {
-		p.Rates = []float64{0.1, 0.3, 0.5, 0.7}
-	}
-	return p
-}
-
-func topologyCmd(s *core.Sprinter, p core.TopologyParams) error {
-	header("Extension: topology comparison at matched router radix")
-	rows, err := s.TopologyStudy(p)
-	if err != nil {
-		return err
-	}
-	w := tabwriter.NewWriter(os.Stdout, 2, 4, 2, ' ', 0)
-	fmt.Fprintln(w, "topology\trouting\tnodes\tports\tbisection links\tzero-load lat (cyc)\tsaturation (flits/cyc/node)\tlow-load power (W)")
-	for _, r := range rows {
-		fmt.Fprintf(w, "%s\t%s\t%d\t%d\t%d\t%.1f\t%.1f\t%.3f\n",
-			r.Spec, r.Routing, r.Nodes, r.Ports, r.BisectionLinks,
-			r.ZeroLoadLatency, r.SaturationRate, r.LowLoadPowerW)
-	}
-	return w.Flush()
-}
-
-func runJSON(name string, o options) error {
-	s, err := core.New(core.DefaultConfig())
-	if err != nil {
-		return err
-	}
-	sim, fig11 := simParams(o)
-	var result any
-	switch name {
-	case "fig2":
-		result, err = core.Fig2RouterPower()
-	case "fig3":
-		result, err = core.Fig3ChipBreakdown()
-	case "fig4":
-		result = core.Fig4Scaling(s)
-	case "fig7":
-		result, err = core.Fig7ExecTime(s)
-	case "fig8":
-		result, err = core.Fig8CorePower(s)
-	case "fig9", "fig10":
-		result, err = core.Fig9Fig10Network(s, sim)
-	case "fig11":
-		result, err = core.Fig11Sweep(s, []int{4, 8}, fig11)
-	case "fig12":
-		result, err = core.Fig12HeatMaps(s)
-	case "duration":
-		result, err = core.SprintDurations(s)
-	case "gating":
-		result, err = core.GatingComparison(s, noc.DefaultGatingConfig(), sim)
-	case "feedback":
-		result, err = core.LeakageFeedbackAnalysis(s, power.DefaultLeakageFeedback())
-	case "wires":
-		result, err = core.FloorplanWireStudy(s, sim)
-	case "scale":
-		widths := []int{4, 6, 8}
-		if o.fast {
-			widths = []int{4, 6}
-		}
-		result, err = core.ScalingStudy(widths, sim)
-	case "sensitivity":
-		result, err = core.SensitivitySweep(sim)
-	case "topology":
-		result, err = s.TopologyStudy(topologyParams(sim, o.fast))
-	case "dimdark":
-		result, err = core.DimVsDark(s, nil, nil, sim)
-	case "llc":
-		result, err = core.LLCStudy(s, llcParams(o))
-	case "faults":
-		result, err = core.FaultSweep(s, faultParams(o))
-	default:
-		return fmt.Errorf("experiment %q has no JSON form", name)
-	}
-	if err != nil {
-		return err
-	}
-	enc := json.NewEncoder(os.Stdout)
+// writeJSON prints one experiment result in the -json envelope.
+func writeJSON(out io.Writer, name string, result any) error {
+	enc := json.NewEncoder(out)
 	enc.SetIndent("", "  ")
 	return enc.Encode(map[string]any{
 		"paper":      "NoC-Sprinting, DAC 2014 (10.1145/2593069.2593165)",
@@ -963,77 +438,14 @@ func runJSON(name string, o options) error {
 	})
 }
 
-func dimDarkCmd(s *core.Sprinter, sim core.NetSimParams) error {
-	header("Extension: dim silicon vs dark silicon under a power budget")
-	points, err := core.DimVsDark(s, nil, nil, sim)
-	if err != nil {
-		return err
-	}
-	w := tabwriter.NewWriter(os.Stdout, 2, 4, 2, ' ', 0)
-	fmt.Fprintln(w, "budget (W)\tbenchmark\tdark: level@2GHz perf\tdim: level@corner perf\twinner")
-	for _, pt := range points {
-		winner := "dark"
-		if pt.DimWins {
-			winner = "DIM"
-		}
-		dim := "-"
-		if pt.DimLevel > 0 {
-			dim = fmt.Sprintf("%d@%.2fV/%.1fGHz %.2f", pt.DimLevel, pt.DimCorner.VDD, pt.DimCorner.FreqHz/1e9, pt.DimPerf)
-		}
-		fmt.Fprintf(w, "%.0f\t%s\t%d %.2f\t%s\t%s\n",
-			pt.BudgetW, pt.Benchmark, pt.DarkLevel, pt.DarkPerf, dim, winner)
-	}
-	return w.Flush()
-}
-
-// faultParams maps the CLI options onto the fault-injection sweep: -fast
-// shrinks the horizon and sweep, -check keeps the invariant checker attached
-// through every repair, -workers fans the rate points across cores.
-func faultParams(o options) core.FaultParams {
-	p := core.FaultParams{Sim: core.NetSimParams{
-		Workers: o.workers, Check: o.check, Reference: o.refstep,
-		Ctx: o.ctx, Abort: o.abort, Journal: o.journal,
-		Obs: o.rec, Progress: o.progress,
-	}}
-	if o.fast {
-		p.Cycles = 8000
-		p.Rates = []float64{2, 8}
-	}
-	return p
-}
-
-func faultsCmd(s *core.Sprinter, p core.FaultParams) error {
-	header("Extension: fault injection & online sprint-region repair")
-	points, err := core.FaultSweep(s, p)
-	if err != nil {
-		return err
-	}
-	w := tabwriter.NewWriter(os.Stdout, 2, 4, 2, ' ', 0)
-	fmt.Fprintln(w, "rate/10k\tfaults (P/T/L/trip)\tavail\tdelivered\tdropped\tdrop rate\tlat (cyc)\tfinal level\tmaster\tconvex\trepairs")
-	for _, pt := range points {
-		fmt.Fprintf(w, "%.0f\t%d (%d/%d/%d/%d)\t%.1f%%\t%d\t%d\t%.3f%%\t%.1f\t%d\t%d\t%v\t%d\n",
-			pt.Rate, pt.Faults, pt.Permanent, pt.Transient, pt.LinkFaults, pt.Trips,
-			100*pt.Availability, pt.Delivered, pt.Dropped, 100*pt.DropRate,
-			pt.AvgLatency, pt.FinalLevel, pt.FinalMaster, pt.FinalConvex, pt.Repairs)
-	}
-	if err := w.Flush(); err != nil {
-		return err
-	}
-	fmt.Println("\ngovernor policy: permanent fault -> region re-formed from the activation")
-	fmt.Println("order over survivors (new master elected if the master died); transient")
-	fmt.Println("fault -> capped exponential-backoff resume; thermal trip -> sprint level")
-	fmt.Println("stepped down. Every repair quiesces and drains the fabric first, so no")
-	fmt.Println("flit is ever silently lost: undeliverable traffic lands in `dropped`.")
-	return nil
-}
-
 // traceCmd generates a deterministic uniform-random injection trace over the
 // full mesh, writes it through noc.WriteTraceFile — the path that joins the
 // buffered-write flush error with the file's Close error, so a full disk is
 // never reported as success — and replays it on a fresh network to verify the
 // file round-trips.
-func traceCmd(s *core.Sprinter, o options) error {
-	header("Trace: offline generation, JSONL export, deterministic replay")
+func traceCmd(out io.Writer, s *core.Sprinter, o options) error {
+	rule := strings.Repeat("=", 72)
+	fmt.Fprintf(out, "%s\nTrace: offline generation, JSONL export, deterministic replay\n%s\n", rule, rule)
 	cfg := s.Config()
 	nodes := make([]int, cfg.NoC.Nodes())
 	for i := range nodes {
@@ -1048,7 +460,7 @@ func traceCmd(s *core.Sprinter, o options) error {
 	if err := noc.WriteTraceFile(o.traceOut, events); err != nil {
 		return err
 	}
-	fmt.Printf("wrote %d injection(s) over %d cycles to %s\n", len(events), o.traceCycles, o.traceOut)
+	fmt.Fprintf(out, "wrote %d injection(s) over %d cycles to %s\n", len(events), o.traceCycles, o.traceOut)
 
 	f, err := os.Open(o.traceOut)
 	if err != nil {
@@ -1070,33 +482,7 @@ func traceCmd(s *core.Sprinter, o options) error {
 	if err != nil {
 		return err
 	}
-	fmt.Printf("replay: %d packet(s), avg latency %.1f cycles, drained=%v\n",
+	fmt.Fprintf(out, "replay: %d packet(s), avg latency %.1f cycles, drained=%v\n",
 		res.Packets, res.AvgLatency, res.Drained)
-	return nil
-}
-
-// llcParams maps the CLI options onto the LLC study. The point-level abort
-// context (second interrupt) is threaded into the cache-system cycle loop,
-// so the study no longer rides out millions of cycles after an abort.
-func llcParams(o options) core.LLCParams {
-	return core.LLCParams{Check: o.check, Reference: o.refstep, Ctx: o.abort, Obs: o.rec}
-}
-
-func llcCmd(s *core.Sprinter, o options) error {
-	header("Extension: Section 3.4 — shared LLC under network power gating")
-	rows, err := core.LLCStudy(s, llcParams(o))
-	if err != nil {
-		return err
-	}
-	w := tabwriter.NewWriter(os.Stdout, 2, 4, 2, ' ', 0)
-	fmt.Fprintln(w, "configuration\tAMAT (cyc)\tL2 miss rate\tbypass transfers\tnet power (mW)\tcycles")
-	for _, r := range rows {
-		fmt.Fprintf(w, "%s\t%.1f\t%.3f\t%d\t%.2f\t%d\n",
-			r.Name, r.AMAT, r.L2MissRate, r.BypassTransfers, r.NetPowerW*1e3, r.Cycles)
-	}
-	if err := w.Flush(); err != nil {
-		return err
-	}
-	fmt.Println("\n(level-4 sprint; working set sized to fit all 16 banks but overflow 4)")
 	return nil
 }

@@ -49,11 +49,7 @@ func TestGoldenFig11FastWithObs(t *testing.T) {
 	rec := obsGoldenRecorder(t)
 	sim := goldenSim(true)
 	sim.Obs = rec
-	series, err := core.Fig11Sweep(s, []int{4, 8}, core.Fig11Params{
-		Rates:   []float64{0.05, 0.15, 0.25, 0.35},
-		Samples: 3,
-		Sim:     sim,
-	})
+	series, err := core.Fig11Sweep(s, []int{4, 8}, core.ShapeFig11(sim, true))
 	if err != nil {
 		t.Fatal(err)
 	}

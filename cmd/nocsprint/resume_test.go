@@ -25,13 +25,7 @@ func TestGoldenFig11FastResume(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	params := func() core.Fig11Params {
-		return core.Fig11Params{
-			Rates:   []float64{0.05, 0.15, 0.25, 0.35},
-			Samples: 3,
-			Sim:     goldenSim(true),
-		}
-	}
+	params := func() core.Fig11Params { return core.ShapeFig11(goldenSim(true), true) }
 	const totalPoints = 8 // 2 levels x 4 rates
 
 	path := filepath.Join(t.TempDir(), "fig11.journal")

@@ -105,6 +105,12 @@ func main() {
 }
 
 func run(o options, logger *log.Logger) error {
+	// Catch signals before anything else: a SIGTERM that lands during
+	// recovery or right after the listener opens must drain, not kill.
+	sigc := make(chan os.Signal, 2)
+	signal.Notify(sigc, os.Interrupt, syscall.SIGTERM)
+	defer signal.Stop(sigc)
+
 	srv, err := serve.New(serve.Config{
 		StateDir:       o.state,
 		QueueCap:       o.queueCap,
@@ -145,10 +151,6 @@ func run(o options, logger *log.Logger) error {
 
 	serveErr := make(chan error, 1)
 	go func() { serveErr <- httpSrv.Serve(ln) }()
-
-	sigc := make(chan os.Signal, 2)
-	signal.Notify(sigc, os.Interrupt, syscall.SIGTERM)
-	defer signal.Stop(sigc)
 
 	select {
 	case err := <-serveErr:

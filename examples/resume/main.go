@@ -24,12 +24,9 @@ func main() {
 		log.Fatal(err)
 	}
 	levels := []int{4, 8}
-	params := core.Fig11Params{
-		Rates:   []float64{0.05, 0.15, 0.25, 0.35},
-		Samples: 3,
-		Sim:     core.NetSimParams{Warmup: 300, Measure: 1000, Drain: 10000},
-	}
-	const totalPoints = 8 // 2 levels x 4 rates
+	// The `fig11 -fast` sweep: 2 levels x 4 rates.
+	params := core.ShapeFig11(core.NetSimParams{}, true)
+	const totalPoints = 8
 
 	dir, err := os.MkdirTemp("", "nocsprint-resume")
 	if err != nil {

@@ -247,6 +247,62 @@ func (c *Controller) RunTrace(bursts []Burst, horizonS float64) (TraceResult, er
 	return res, nil
 }
 
+// ControllerRow summarises one scheme's controller run. AvgResponseS is
+// the mean arrival-to-completion time over the bursts that finished (0 if
+// none did), so the row never carries the NaN of an unfinished burst.
+type ControllerRow struct {
+	Scheme       string
+	AvgResponseS float64
+	MakespanS    float64
+	EnergyJ      float64
+	PeakK        float64
+	SprintS      float64
+	ThrottledS   float64
+}
+
+// ControllerComparison runs the online controller under each sprinting
+// scheme over one fixed bursty trace: six 1.2 s bursts of dedup, swaptions
+// and vips arriving every 4 s, on a 60 s horizon.
+func ControllerComparison(s *Sprinter) ([]ControllerRow, error) {
+	var bursts []Burst
+	for i, name := range []string{"dedup", "swaptions", "dedup", "vips", "swaptions", "dedup"} {
+		p, err := workload.ByName(name)
+		if err != nil {
+			return nil, err
+		}
+		bursts = append(bursts, Burst{Profile: p, WorkSeconds: 1.2, ArrivalS: float64(i) * 4})
+	}
+	var rows []ControllerRow
+	for _, scheme := range []Scheme{NonSprinting, FullSprinting, NoCSprinting} {
+		cfg := DefaultControllerConfig()
+		cfg.Scheme = scheme
+		ctl, err := NewController(s, cfg)
+		if err != nil {
+			return nil, err
+		}
+		res, err := ctl.RunTrace(bursts, 60)
+		if err != nil {
+			return nil, err
+		}
+		var avgResp float64
+		finished := 0
+		for i, c := range res.Completions {
+			if !math.IsNaN(c) {
+				avgResp += c - bursts[i].ArrivalS
+				finished++
+			}
+		}
+		if finished > 0 {
+			avgResp /= float64(finished)
+		}
+		rows = append(rows, ControllerRow{
+			Scheme: scheme.String(), AvgResponseS: avgResp, MakespanS: res.MakespanS,
+			EnergyJ: res.EnergyJ, PeakK: res.PeakK, SprintS: res.SprintS, ThrottledS: res.ThrottledS,
+		})
+	}
+	return rows, nil
+}
+
 // RandomBurstTrace draws a Poisson-like burst trace over the PARSEC suite:
 // n bursts with exponential inter-arrival gaps (mean meanGapS) and
 // exponential work sizes (mean meanWorkS), benchmarks drawn uniformly.

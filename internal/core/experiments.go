@@ -22,8 +22,8 @@ import (
 )
 
 // This file contains one driver per table/figure of the paper's evaluation.
-// Each returns a typed result; cmd/nocsprint renders them as text and
-// bench_test.go regenerates them under `go test -bench`.
+// Each returns a typed result; the experiment registry (registry.go) runs
+// and renders them, and bench_test.go regenerates them under `go test -bench`.
 
 // Fig2Row is one (voltage, frequency) corner of Figure 2.
 type Fig2Row struct {

@@ -1,78 +1,10 @@
 package serve
 
-import (
-	"fmt"
+import "nocsprint/internal/core"
 
-	"nocsprint/internal/core"
-	"nocsprint/internal/noc"
-	"nocsprint/internal/power"
-)
-
-// RunExperiment is the default RunFunc: it dispatches a JobSpec onto the
-// experiment drivers exactly as the CLI's -json mode does, with the same
-// -fast shaping, so a daemon job's result bytes match the CLI's for the
-// same spec. The sweep-shaped drivers journal through sim.Journal and honour
-// sim.Ctx/sim.Abort; analytic experiments simply recompute after a restart.
+// RunExperiment is the default RunFunc, a delegate to the core experiment
+// registry: the CLI's -json mode runs the same entry with the same -fast
+// shaping, so a daemon job's result bytes match the CLI's for the same spec.
 func RunExperiment(spec JobSpec, sim core.NetSimParams) (any, error) {
-	s, err := core.New(core.DefaultConfig())
-	if err != nil {
-		return nil, err
-	}
-	if spec.Fast {
-		sim.Warmup, sim.Measure, sim.Drain = 300, 1000, 10000
-	}
-	switch spec.Experiment {
-	case "fig2":
-		return core.Fig2RouterPower()
-	case "fig3":
-		return core.Fig3ChipBreakdown()
-	case "fig4":
-		return core.Fig4Scaling(s), nil
-	case "fig7":
-		return core.Fig7ExecTime(s)
-	case "fig8":
-		return core.Fig8CorePower(s)
-	case "fig9", "fig10":
-		return core.Fig9Fig10Network(s, sim)
-	case "fig11":
-		params := core.Fig11Params{Sim: sim}
-		if spec.Fast {
-			params.Rates = []float64{0.05, 0.15, 0.25, 0.35}
-			params.Samples = 3
-		}
-		return core.Fig11Sweep(s, []int{4, 8}, params)
-	case "fig12":
-		return core.Fig12HeatMaps(s)
-	case "duration":
-		return core.SprintDurations(s)
-	case "gating":
-		return core.GatingComparison(s, noc.DefaultGatingConfig(), sim)
-	case "feedback":
-		return core.LeakageFeedbackAnalysis(s, power.DefaultLeakageFeedback())
-	case "wires":
-		return core.FloorplanWireStudy(s, sim)
-	case "scale":
-		widths := []int{4, 6, 8}
-		if spec.Fast {
-			widths = []int{4, 6}
-		}
-		return core.ScalingStudy(widths, sim)
-	case "sensitivity":
-		return core.SensitivitySweep(sim)
-	case "dimdark":
-		return core.DimVsDark(s, nil, nil, sim)
-	case "llc":
-		return core.LLCStudy(s, core.LLCParams{Check: spec.Check, Reference: sim.Reference, Ctx: sim.Abort, Obs: sim.Obs})
-	case "faults":
-		params := core.FaultParams{Sim: sim}
-		if spec.Fast {
-			params.Cycles = 8000
-			params.Rates = []float64{2, 8}
-		}
-		return core.FaultSweep(s, params)
-	default:
-		// Validate rejects unknown experiments at admission; reaching this
-		// indicates a dispatch/validation drift.
-		return nil, fmt.Errorf("serve: experiment %q validated but not dispatchable", spec.Experiment)
-	}
+	return core.RunExperiment(spec.Experiment, sim, spec.Fast)
 }

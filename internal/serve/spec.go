@@ -16,6 +16,8 @@ import (
 	"sort"
 	"strings"
 	"time"
+
+	"nocsprint/internal/core"
 )
 
 // Duration is a time.Duration that marshals to and from JSON duration
@@ -82,22 +84,10 @@ type JobSpec struct {
 	Retry *RetrySpec `json:"retry,omitempty"`
 }
 
-// experimentSet lists every experiment the daemon can run: the JSON-form
-// experiments of the nocsprint CLI.
-var experimentSet = map[string]bool{
-	"fig2": true, "fig3": true, "fig4": true, "fig7": true, "fig8": true,
-	"fig9": true, "fig10": true, "fig11": true, "fig12": true,
-	"duration": true, "gating": true, "feedback": true, "wires": true,
-	"scale": true, "sensitivity": true, "dimdark": true, "llc": true,
-	"faults": true,
-}
-
-// Experiments returns the supported experiment names, sorted.
+// Experiments returns the supported experiment names, sorted: every name
+// and alias of the core experiment registry.
 func Experiments() []string {
-	names := make([]string, 0, len(experimentSet))
-	for n := range experimentSet {
-		names = append(names, n)
-	}
+	names := core.ExperimentNames()
 	sort.Strings(names)
 	return names
 }
@@ -141,7 +131,7 @@ func (s JobSpec) Validate() error {
 	if s.Experiment == "" {
 		return errors.New(`spec: field "experiment": required`)
 	}
-	if !experimentSet[s.Experiment] {
+	if _, ok := core.LookupExperiment(s.Experiment); !ok {
 		return fmt.Errorf("spec: field %q: unknown experiment %q (supported: %s)",
 			"experiment", s.Experiment, strings.Join(Experiments(), ", "))
 	}

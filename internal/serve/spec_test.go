@@ -4,6 +4,8 @@ import (
 	"strings"
 	"testing"
 	"time"
+
+	"nocsprint/internal/core"
 )
 
 func TestParseSpecValid(t *testing.T) {
@@ -60,19 +62,28 @@ func TestParseSpecStrict(t *testing.T) {
 	}
 }
 
+// TestExperimentsListedSorted requires the daemon's experiment list to be
+// exactly the core registry's names and aliases, sorted, and every one of
+// them to pass spec validation.
 func TestExperimentsListedSorted(t *testing.T) {
 	exps := Experiments()
-	if len(exps) != len(experimentSet) {
-		t.Fatalf("Experiments() lists %d, set has %d", len(exps), len(experimentSet))
+	registry := core.ExperimentNames()
+	if len(exps) != len(registry) {
+		t.Fatalf("Experiments() lists %d, registry has %d", len(exps), len(registry))
 	}
 	for i := 1; i < len(exps); i++ {
 		if exps[i-1] >= exps[i] {
 			t.Errorf("Experiments() not sorted at %d: %s >= %s", i, exps[i-1], exps[i])
 		}
 	}
-	for _, want := range []string{"fig11", "faults", "llc", "sensitivity"} {
-		if !experimentSet[want] {
-			t.Errorf("experiment %q missing from the supported set", want)
+	for _, name := range registry {
+		if err := (JobSpec{Experiment: name}).Validate(); err != nil {
+			t.Errorf("registry experiment %q rejected: %v", name, err)
+		}
+	}
+	for _, want := range []string{"fig10", "topology", "table1", "controller"} {
+		if _, err := ParseSpec(strings.NewReader(`{"experiment":"` + want + `"}`)); err != nil {
+			t.Errorf("experiment %q rejected: %v", want, err)
 		}
 	}
 }
